@@ -460,10 +460,14 @@ def bisimulation_quotient(
       extents never breaks satisfaction — so the pushforward is below
       ``M'``, i.e. ``M(q) ⊆ M'(mapping[q])``.
 
-    Together: equality.  The reconcile pass of the parallel extractor
-    uses this to shrink the broadcast combined program from
-    ``shards × classes`` rules to one rule per structurally distinct
-    class before fanning out per-shard restricted evaluations.
+    Together: equality.  Stage 1
+    (:func:`repro.core.perfect.object_fixpoint`) runs the GFP of the
+    one-rule-per-object program ``Q_D`` on its quotient, which on
+    bounded-variety data has one rule per structurally distinct object
+    class instead of one per object.  The reconcile pass of the
+    parallel extractor uses it to shrink the broadcast combined program
+    from ``shards × classes`` rules to one rule per structurally
+    distinct class before fanning out per-shard restricted evaluations.
     """
     rules = list(program.rules())
     names = [rule.name for rule in rules]

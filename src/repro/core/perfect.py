@@ -6,7 +6,14 @@ Given a database ``D``, the algorithm:
    rule is the object's *local picture* — one typed link per incident
    edge (outgoing to atomic -> ``->l^0``, outgoing to a complex object
    ``o_i`` -> ``->l^{t_i}``, incoming from ``o_i`` -> ``<-l^{t_i}``);
-2. computes the greatest fixpoint ``M`` of ``Q_D`` on ``D``;
+2. computes the greatest fixpoint ``M`` of ``Q_D`` on ``D``.  The
+   engine runs on the bisimulation quotient of ``Q_D``
+   (:func:`repro.core.fixpoint.bisimulation_quotient`), which merges
+   rules that are equal up to renaming their targets to class
+   representatives; the quotient is extent-exact for positive bodies,
+   so every ``q:<obj>`` extent is pulled back from its class's extent.
+   On bounded-variety data thousands of per-object rules collapse to a
+   few hundred classes;
 3. collapses extent-equivalent types (``type_i ≡ type_j`` iff
    ``M(type_i) = M(type_j)``) into equivalence classes, picks one
    representative rule per class and rewrites its targets to class
@@ -28,7 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.fixpoint import FixpointResult, greatest_fixpoint
+from repro.core.fixpoint import (
+    FixpointResult,
+    bisimulation_quotient,
+    greatest_fixpoint,
+)
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.graph.database import Database, ObjectId
 from repro.perf import PerfRecorder, resolve as _resolve_perf
@@ -103,7 +114,11 @@ class PerfectTyping:
     weights:
         Number of home objects per type — Stage 2's point weights.
     q_iterations:
-        Work performed by the GFP of ``Q_D`` (diagnostics).
+        Type re-checks performed by the Stage 1 GFP (diagnostics).
+        :func:`minimal_perfect_typing` iterates the bisimulation
+        quotient of ``Q_D``, so this counts quotient rechecks; other
+        producers (the differential maintainer, the sharded extractor)
+        report their own work measure here.
     """
 
     program: TypingProgram
@@ -180,7 +195,15 @@ def minimal_perfect_typing(
     ``local_rule_fn`` optionally overrides the local-picture builder
     (used by the Remark 2.1 sorts extension).  ``perf`` threads a
     :class:`repro.perf.PerfRecorder` into the GFP engine and times the
-    stage's phases (spans ``stage1.build_qd``, ``stage1.collapse``).
+    stage's phases (spans ``stage1.build_qd``, ``stage1.quotient``,
+    ``stage1.collapse``; counters ``stage1.qd_rules`` and
+    ``stage1.quotient_rules``).
+
+    The GFP runs on the bisimulation quotient of ``Q_D`` rather than on
+    ``Q_D`` itself; the quotient is exact for GFP extents (see
+    :func:`repro.core.fixpoint.bisimulation_quotient`), so the result
+    equals collapsing the GFP of the full ``Q_D`` in every field except
+    the ``q_iterations`` work measure.
 
     Example
     -------
@@ -196,10 +219,35 @@ def minimal_perfect_typing(
     build = local_rule_fn if local_rule_fn is not None else local_rule
     with perf.span("stage1.build_qd"):
         q_program = build_object_program(db, local_rule_fn=build)
-    fixpoint = greatest_fixpoint(q_program, db, perf=perf)
+    fixpoint = object_fixpoint(q_program, db, perf=perf)
 
     with perf.span("stage1.collapse"):
         return collapse_object_fixpoint(db, build, fixpoint)
+
+
+def object_fixpoint(
+    q_program: TypingProgram,
+    db: Database,
+    perf: Optional[PerfRecorder] = None,
+) -> FixpointResult:
+    """The GFP of ``Q_D``, evaluated on its bisimulation quotient.
+
+    Extent-identical to ``greatest_fixpoint(q_program, db)`` for every
+    per-object type name: the quotient is exact for positive bodies
+    (see :func:`repro.core.fixpoint.bisimulation_quotient`), so each
+    ``q:<obj>`` extent is its class's extent — the same frozenset, not
+    a copy.  ``iterations`` counts the quotient's type rechecks.
+    """
+    perf = _resolve_perf(perf)
+    with perf.span("stage1.quotient"):
+        quotient, mapping = bisimulation_quotient(q_program)
+    perf.incr("stage1.qd_rules", len(q_program))
+    perf.incr("stage1.quotient_rules", len(quotient))
+    reduced = greatest_fixpoint(quotient, db, perf=perf)
+    return FixpointResult(
+        extents={name: reduced.extents[rep] for name, rep in mapping.items()},
+        iterations=reduced.iterations,
+    )
 
 
 def collapse_object_fixpoint(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.fixpoint import (
+    bisimulation_quotient,
     explain_membership,
     greatest_fixpoint,
     greatest_fixpoint_naive,
@@ -11,9 +12,40 @@ from repro.core.fixpoint import (
     object_signature,
 )
 from repro.core.notation import parse_program
-from repro.core.typing_program import Direction, TypingProgram, make_rule
+from repro.core.perfect import build_object_program, minimal_perfect_typing
+from repro.core.typing_program import (
+    ATOMIC,
+    Direction,
+    TypedLink,
+    TypeRule,
+    TypingProgram,
+    make_rule,
+)
 from repro.graph.builder import DatabaseBuilder
+from repro.graph.database import Database
 from repro.perf import PerfRecorder
+from repro.synth.datasets import make_dbg
+
+
+def _union(dbs):
+    out = Database()
+    for index, db in enumerate(dbs):
+        prefix = f"c{index}_"
+        for obj in db.objects():
+            if db.is_atomic(obj):
+                out.add_atomic(prefix + obj, db.value(obj))
+            else:
+                out.add_complex(prefix + obj)
+        for edge in db.edges():
+            out.add_link(prefix + edge.src, prefix + edge.dst, edge.label)
+    return out
+
+
+@pytest.fixture(scope="module")
+def multi_db():
+    # Repeated seeds on purpose: duplicated components make the
+    # bisimulation quotient strictly smaller than the combined program.
+    return _union([make_dbg(seed=s) for s in (21, 22, 23, 21)])
 
 
 class TestPaperSemantics:
@@ -190,6 +222,58 @@ class TestPerfCounters:
         assert NULL_RECORDER.to_dict() == {
             "counters": {}, "peaks": {}, "timers": {},
         }
+
+
+class TestBisimulationQuotient:
+    def test_quotient_preserves_extents(self, multi_db):
+        combined = minimal_perfect_typing(multi_db).program
+        quotient, mapping = bisimulation_quotient(combined)
+        assert set(mapping) == set(combined.type_names())
+        assert set(mapping.values()) == set(quotient.type_names())
+        full = greatest_fixpoint(combined, multi_db)
+        reduced = greatest_fixpoint(quotient, multi_db)
+        for name in combined.type_names():
+            assert full.members(name) == reduced.members(mapping[name])
+
+    def test_object_program_quotient_is_exact_and_smaller(self, multi_db):
+        # Stage 1's use: Q_D of a graph with a duplicated component.
+        q_program = build_object_program(multi_db)
+        quotient, mapping = bisimulation_quotient(q_program)
+        assert len(quotient) < len(q_program)
+        full = greatest_fixpoint(q_program, multi_db)
+        reduced = greatest_fixpoint(quotient, multi_db)
+        for name in q_program.type_names():
+            assert full.members(name) == reduced.members(mapping[name])
+
+    def test_bisimilar_rules_collapse(self):
+        # Structurally identical rules under different names — the
+        # shape a shard-prefixed combined program produces when the
+        # same component appears in two shards.
+        leaf_a = TypeRule(
+            "leaf_a", frozenset({TypedLink(Direction.OUT, "name", ATOMIC)})
+        )
+        leaf_b = TypeRule(
+            "leaf_b", frozenset({TypedLink(Direction.OUT, "name", ATOMIC)})
+        )
+        root = TypeRule(
+            "root",
+            frozenset(
+                {
+                    TypedLink(Direction.OUT, "child", "leaf_a"),
+                    TypedLink(Direction.OUT, "child", "leaf_b"),
+                }
+            ),
+        )
+        program = TypingProgram([leaf_a, leaf_b, root])
+        quotient, mapping = bisimulation_quotient(program)
+        assert mapping["leaf_a"] == mapping["leaf_b"]
+        assert mapping["root"] == "root"
+        assert len(quotient) == 2
+
+    def test_empty_program(self):
+        quotient, mapping = bisimulation_quotient(TypingProgram([]))
+        assert len(quotient) == 0
+        assert mapping == {}
 
 
 class TestExplanations:

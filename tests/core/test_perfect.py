@@ -147,3 +147,17 @@ class TestGeneralProperties:
             result.program, figure4_db, result.assignment()
         )
         assert report.total == 0
+
+
+class TestQuotientInstrumentation:
+    def test_records_rule_counts_and_quotient_span(self, regular_people_db):
+        from repro.perf import PerfRecorder
+
+        perf = PerfRecorder()
+        result = minimal_perfect_typing(regular_people_db, perf=perf)
+        assert perf.counter("stage1.qd_rules") == regular_people_db.num_complex
+        # Regular data: every per-object rule lands in one class.
+        assert perf.counter("stage1.quotient_rules") == result.num_types == 1
+        assert "stage1.quotient" in perf.to_dict()["timers"]
+        # The gfp.* counters describe the one-rule quotient GFP.
+        assert perf.counter("gfp.type_rechecks") == result.q_iterations == 1

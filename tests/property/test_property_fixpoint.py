@@ -7,9 +7,13 @@ The central invariants:
 * the GFP is a fixpoint (applying one more round changes nothing) and
   dominates the LFP;
 * Stage 1 always yields a perfect (zero-defect) typing whose home
-  extents partition the complex objects.
+  extents partition the complex objects;
+* Stage 1, which iterates the bisimulation quotient of ``Q_D``, equals
+  the unquotiented reference (naive GFP of the full ``Q_D``, then the
+  same collapse) in program text, homes, extents and weights.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +24,16 @@ from repro.core.fixpoint import (
     greatest_fixpoint_rescan,
     least_fixpoint,
 )
-from repro.core.perfect import minimal_perfect_typing, verify_perfect
+from repro.core.notation import format_program
+from repro.core.perfect import (
+    build_object_program,
+    collapse_object_fixpoint,
+    local_rule,
+    minimal_perfect_typing,
+    object_fixpoint,
+    verify_perfect,
+)
+from repro.core.sorts import sorted_local_rule
 from repro.core.typing_program import TypedLink, TypeRule, TypingProgram
 from repro.datalog.evaluation import evaluate_gfp
 from repro.datalog.translate import (
@@ -32,15 +45,19 @@ from repro.graph.database import Database
 
 labels = st.sampled_from(["a", "b", "c"])
 objects = st.sampled_from([f"o{i}" for i in range(6)])
+leaves = st.sampled_from(["leaf", "leaf_s"])
 
 
 @st.composite
 def databases(draw):
     db = Database()
     db.add_atomic("leaf", 0)
+    # A second atomic sort, so sorted local rules (Remark 2.1) differ
+    # from plain ones.
+    db.add_atomic("leaf_s", "x")
     for _ in range(draw(st.integers(1, 12))):
         src = draw(objects)
-        dst = draw(st.one_of(objects, st.just("leaf")))
+        dst = draw(st.one_of(objects, leaves))
         if src == dst:
             continue
         db.add_link(src, dst, draw(labels))
@@ -174,3 +191,40 @@ def test_stage1_home_inside_extent(db):
     stage1 = minimal_perfect_typing(db)
     for obj, home in stage1.home_type.items():
         assert obj in stage1.extents[home]
+
+
+def _reference_stage1(db, build):
+    """Stage 1 without the quotient: naive GFP of the full ``Q_D``."""
+    q_program = build_object_program(db, local_rule_fn=build)
+    return collapse_object_fixpoint(
+        db, build, greatest_fixpoint_naive(q_program, db)
+    )
+
+
+def _assert_matches_reference(db, build):
+    fast = minimal_perfect_typing(db, local_rule_fn=build)
+    reference = _reference_stage1(db, build)
+    # q_iterations is a work measure and the only field allowed to differ.
+    assert format_program(fast.program) == format_program(reference.program)
+    assert fast.home_type == reference.home_type
+    assert fast.extents == reference.extents
+    assert fast.weights == reference.weights
+    q_program = build_object_program(db, local_rule_fn=build)
+    assert (
+        object_fixpoint(q_program, db).extents
+        == greatest_fixpoint(q_program, db).extents
+    )
+
+
+@given(databases(), st.sampled_from([local_rule, sorted_local_rule]))
+@settings(max_examples=60, deadline=None)
+def test_stage1_quotient_matches_unquotiented_reference(db, build):
+    _assert_matches_reference(db, build)
+
+
+@pytest.mark.parametrize("build", [local_rule, sorted_local_rule])
+@pytest.mark.parametrize("fixture", ["figure2_db", "figure3_db", "figure4_db"])
+def test_stage1_quotient_matches_reference_on_paper_figures(
+    request, fixture, build
+):
+    _assert_matches_reference(request.getfixturevalue(fixture), build)
